@@ -5,9 +5,9 @@ over several VM densities and seeds on the paper's 48-core machine, at
 the 1 ms latency goal of Fig. 3's hardest planner curve) three ways:
 
 * ``serial_seed``  — the seed execution path: one shard after another
-  in one process, re-planning every census from scratch (no plan memo,
-  no on-disk store — exactly how the experiment drivers ran before the
-  campaign engine existed);
+  in one process, re-planning every census (no on-disk store, and the
+  planner's in-memory caches cleared before the first shard — exactly
+  how the experiment drivers ran before the campaign engine existed);
 * ``parallel_cold`` — 4 pool workers against an empty
   :class:`repro.core.plancache.PlanStore`, which they populate;
 * ``parallel_warm`` — 4 pool workers against the now-warm store.
@@ -25,19 +25,21 @@ shards within one process), so on this single-CPU container the serial
 path now *beats* the pool — worker processes fork cold and re-pay
 process-cold planning.  The wall bar therefore moved to where the
 store's effect still is: the pooled *plan phase*, cold store vs warm
-store at equal parallelism (measured ~1.6-1.8x; gated at 1.3x), plus a
-hard ceiling on the serial cold plan phase itself (<=2.93s, half the
-pre-columnar cost) so the planner win that retired the old bar cannot
-silently regress.  Wall ratios are still reported but not gated — at
-~1.2x they sit inside this container's timing noise.
+store at equal parallelism (gated at 1.3x), plus a hard ceiling on the
+serial cold plan phase itself (<=2.93s, half the pre-columnar cost) so
+the planner win that retired the old bar cannot silently regress.  Wall
+ratios are still reported but not gated — at ~1.2x they sit inside this
+container's timing noise.  Store entries carry segment columns without
+allocation lists, so a warm get of these censuses is a few ms and each
+shard reads its plan from the store (no per-process plan memo).
 
 Run directly to (re)generate ``BENCH_campaign.json`` at the repo root::
 
     PYTHONPATH=src python benchmarks/campaign.py
 
-The parallel runs execute first so pool workers fork with a cold
-process-local plan memo and actually exercise the on-disk store (a
-warm parent memo would shadow it).
+The parallel runs execute first so pool workers fork with cold
+in-memory planner caches and actually exercise the on-disk store (warm
+parent caches would shadow it).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from repro.campaign import (
     run_campaign,
     run_shard,
 )
-from repro.experiments.scenarios import reset_plan_memo
+from repro.core.cache import clear as clear_memory_caches
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_campaign.json"
@@ -86,9 +88,9 @@ def bench_matrix(
 def run_seed_path(matrix: CampaignMatrix) -> Dict[str, object]:
     """The pre-campaign baseline: serial shards, a fresh plan each."""
     records = []
+    clear_memory_caches()
     start = time.perf_counter()
     for spec in matrix.expand():
-        reset_plan_memo()
         records.append(run_shard(spec, None))
     wall = time.perf_counter() - start
     aggregate = aggregate_records(matrix, records)

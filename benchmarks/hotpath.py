@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.core import MS, CensusDelta, Planner, make_vm
+from repro.core import MS, Planner, make_vm
 from repro.core.table import SystemTable
 from repro.experiments.scenarios import build_scenario
 from repro.schedulers import TableauScheduler
@@ -270,27 +270,28 @@ def bench_daemon_regeneration(cycles: int = 8) -> Dict[str, object]:
 
 
 def bench_planner_delta(cycles: int = 100) -> Dict[str, object]:
-    """Census-diff replans: ``CensusDelta`` create/destroy churn.
+    """Incremental replans: create/destroy churn through plain ``plan()``.
 
     A live planner absorbs a create-then-destroy pair per cycle, the
     service layer's steady-state pattern.  Each create introduces a new
-    VM name (never memoized); each destroy returns to the base census.
-    The final table must fingerprint identically to the base plan — the
-    benchmark doubles as a differential check that delta replans never
-    drift from from-scratch planning.
+    VM name (never memoized), so only the core WFD hands it re-simulates;
+    each destroy returns to the base census.  The final table must
+    fingerprint identically to the base plan — the benchmark doubles as
+    a differential check that incremental replans never drift from
+    from-scratch planning.
 
     The base census is 47 VMs, one short of the machine's 12-guest-core
     capacity, so the created VM always admits.
     """
     planner = Planner(xeon_16core())
-    base = planner.plan(planner_census(47))
+    census = planner_census(47)
+    base = planner.plan(census)
     base_digest = plan_fingerprint(base)
     result = base
     start = time.perf_counter()
     for i in range(cycles):
-        vm = make_vm(f"delta{i:03d}", 0.25, 20 * MS)
-        planner.plan(CensusDelta(create=[vm]))
-        result = planner.plan(CensusDelta(destroy=[vm.name]))
+        planner.plan(census + [make_vm(f"delta{i:03d}", 0.25, 20 * MS)])
+        result = planner.plan(census)
     wall = time.perf_counter() - start
     if plan_fingerprint(result) != base_digest:
         raise AssertionError("delta replans drifted from the base plan")

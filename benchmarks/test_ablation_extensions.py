@@ -1,15 +1,16 @@
 """Benchmarks for the paper's suggested extensions (Secs. 5, 7.1, 7.5).
 
 Quantifies what each optional pass buys: the peephole pass's preemption
-reduction, the table cache's speedup for tier-based clouds, and the cost
-of split compensation.
+reduction, the per-core shape cache's reuse for tier-based clouds, and
+the cost of split compensation.
 """
 
 import pytest
 
 from conftest import publish
 
-from repro.core import MS, Planner, TableCache, make_vm
+import repro.core.edfcore as edfcore
+from repro.core import MS, Planner, make_vm
 from repro.topology import uniform, xeon_16core
 
 
@@ -40,31 +41,41 @@ def test_ablation_peephole_pass(benchmark):
     assert report.preemptions_after <= report.preemptions_before
 
 
-def test_ablation_table_cache_speedup(benchmark):
-    """A tier-based cloud replans same-shape censuses constantly; the
-    cache turns those replans into O(table) renames (Sec. 7.1)."""
+def test_ablation_shape_cache_reuse(benchmark, monkeypatch):
+    """A tier-based cloud replans same-shape censuses constantly; every
+    renamed census misses the name-keyed core memo, but the name-free
+    shape cache serves its cores without re-running EDF (Sec. 7.1)."""
     planner = Planner(xeon_16core())
-    cache = TableCache(planner)
     shapes = [
         [make_vm(f"gen{g}vm{i}", 0.25, 20 * MS) for i in range(48)]
         for g in range(6)
     ]
-    from repro.core.params import flatten_vcpus
+    planner.plan(shapes[0])  # warm the shape cache
+    kernel = edfcore._edf_kernel
+    runs = []
 
-    cache.plan(flatten_vcpus(shapes[0]))  # warm the cache
+    def counted_kernel(*args):
+        runs.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(edfcore, "_edf_kernel", counted_kernel)
+    misses_before = planner.core_cache_misses
 
     def churn():
         for census in shapes[1:]:
-            cache.plan(flatten_vcpus(census))
+            planner.plan(census)
 
     benchmark(churn)
+    materialized = planner.core_cache_misses - misses_before
+    shape_hit_rate = 1 - len(runs) / materialized
     publish(
-        "ablation_table_cache",
-        f"cache hit rate over a 6-generation churn: "
-        f"{cache.stats.hit_rate:.0%} (cold plan avoided on every hit)",
+        "ablation_shape_cache",
+        f"shape-cache hit rate over a 6-generation renamed churn: "
+        f"{shape_hit_rate:.0%} of {materialized} core materializations "
+        f"ran no EDF simulation",
         benchmark,
     )
-    assert cache.stats.hit_rate > 0.5
+    assert shape_hit_rate > 0.5
 
 
 def test_ablation_split_compensation_cost(benchmark):

@@ -181,14 +181,15 @@ def test_array_backend_is_bit_identical_and_clears_5x_seed():
 
 
 def test_planner_delta_matches_scratch_and_outruns_full_burst():
-    """Delta replans: differential correctness plus a relative gate.
+    """Incremental replans: differential correctness plus a relative gate.
 
     ``bench_planner_delta`` itself raises if the churned plan drifts
     from the base fingerprint, so running it *is* the differential
     check.  The throughput gate is relative to this tree's own full
-    burst (both measured here, same container load): census-diff
-    replans skip census rebuilding and WFD repacking of untouched
-    cores, so they must beat the full-replan burst rate.
+    burst (both measured here, same container load): a create/destroy
+    pair re-simulates only the core WFD hands the new VM, and the
+    destroy returns to a memoized census, so churn must beat the
+    full-replan burst rate.
     """
     delta = bench_planner_delta(cycles=25)
     full = bench_planner(repeats=1)
@@ -199,7 +200,7 @@ def test_planner_delta_matches_scratch_and_outruns_full_burst():
     )
     publish(
         "perf_planner_delta",
-        "census-diff (delta) replanning (quick scale)\n"
+        "create/destroy churn replanning (quick scale)\n"
         f"delta plans_per_sec {delta['plans_per_sec']:.0f}\n"
         f"full  plans_per_sec {full['plans_per_sec']:.0f}\n"
         f"fingerprint         {delta['fingerprint'][:16]} (drift-checked)",
@@ -235,11 +236,13 @@ def test_plan_transport_travels_as_deltas():
 
 
 def test_incremental_replan_hits_core_cache():
+    # The core memo is process-wide: names no other benchmark plans keep
+    # the first plan cold.
     planner = Planner(xeon_16core())
-    planner.plan([make_vm(f"vm{i:02d}", 0.25, 20 * MS) for i in range(40)])
+    planner.plan([make_vm(f"incr{i:02d}", 0.25, 20 * MS) for i in range(40)])
     assert planner.core_cache_hits == 0
     misses_first = planner.core_cache_misses
     # One more VM: only the cores receiving new tasks should re-simulate.
-    planner.plan([make_vm(f"vm{i:02d}", 0.25, 20 * MS) for i in range(41)])
+    planner.plan([make_vm(f"incr{i:02d}", 0.25, 20 * MS) for i in range(41)])
     assert planner.core_cache_hits > 0
     assert planner.core_cache_misses - misses_first < misses_first

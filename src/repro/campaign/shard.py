@@ -208,8 +208,8 @@ def _run_service_shard(
     its stream seed, ``duration_s`` the simulated service lifetime.
     The deterministic ``metrics`` are flattened from the service report
     (integer-ns nearest-rank percentiles); the full report rides along
-    under ``metrics["service"]``.  The on-disk plan store only warms
-    the daemon's table cache — simulated latencies come from the
+    under ``metrics["service"]``.  The on-disk plan store only spares
+    the daemon planning work — simulated latencies come from the
     deterministic model, so cache temperature never shows in metrics.
     """
     from repro.campaign.matrix import resolve_topology

@@ -598,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store",
         default=None,
-        help="on-disk plan store warming the daemon's table cache "
+        help="on-disk plan store the daemon consults by census shape "
         "(never affects the deterministic report)",
     )
     serve.add_argument(

@@ -20,7 +20,6 @@ Typical use::
 from repro.core.admission import AdmissionReport, admit_or_raise, check_admission
 from repro.core.affinity import CoschedulingPolicy, constrained_worst_fit
 from repro.core.atomicio import atomic_write_bytes, atomic_write_text
-from repro.core.cache import CacheStats, TableCache, census_signature, rebind_plan
 from repro.core.edf import preemption_count, simulate_edf
 from repro.core.numa import NumaReport, numa_worst_fit
 from repro.core.optimal import dp_wrap_schedule, grow_cluster
@@ -69,7 +68,6 @@ from repro.core.planner import (
     METHOD_CLUSTERED,
     METHOD_PARTITIONED,
     METHOD_SEMI_PARTITIONED,
-    CensusDelta,
     Planner,
     PlanResult,
     PlanStats,
@@ -84,9 +82,7 @@ from repro.core.schedulability import (
 )
 from repro.core.serialize import (
     deserialize,
-    deserialize_arrays,
     serialize,
-    serialize_arrays,
     table_size_bytes,
 )
 from repro.core.splitting import SemiPartitionResult, semi_partition, verify_chain
@@ -101,7 +97,6 @@ from repro.core.tasks import PeriodicTask, vcpu_to_task, vcpus_to_tasks
 __all__ = [
     "AdmissionReport",
     "CACHE_VERSION",
-    "CacheStats",
     "FsckReport",
     "PlanStore",
     "PlanStoreStats",
@@ -111,13 +106,9 @@ __all__ = [
     "topology_token",
     "CoschedulingPolicy",
     "PeepholeReport",
-    "TableCache",
-    "census_signature",
     "constrained_worst_fit",
     "optimize_core",
-    "rebind_plan",
     "Allocation",
-    "CensusDelta",
     "CoalesceReport",
     "CoreTable",
     "DEFAULT_TIERS",
@@ -150,7 +141,6 @@ __all__ = [
     "coalesce",
     "demand_bound",
     "deserialize",
-    "deserialize_arrays",
     "dp_wrap_schedule",
     "edf_schedulable",
     "fair_share_specs",
@@ -171,7 +161,6 @@ __all__ = [
     "select_period",
     "semi_partition",
     "serialize",
-    "serialize_arrays",
     "simulate_edf",
     "table_size_bytes",
     "validate_against_tasks",

@@ -14,7 +14,7 @@ and :func:`repro.core.postprocess.coalesce` — the differential suite in
 ``tests/core/test_columnar_edf.py`` holds both paths equal — but it
 builds the final :class:`~repro.core.table.CoreTable` segment columns
 directly in the :meth:`~repro.core.table.CoreTable.as_arrays` layout, so
-the dispatcher's array engine and the ``'TBLA'`` serializer consume the
+the dispatcher's array engine and the ``'TBLD'`` delta serializer consume the
 planner's own columns with no re-derivation.
 """
 
@@ -391,7 +391,7 @@ def materialize_core_columns(
     EDF simulation, budget validation, piece renaming and coalescing all
     run over integer columns; :class:`Allocation` objects are built once,
     from the final columns.  The returned table carries its segment
-    columns (``_seg_*``) so ``as_arrays()`` and the ``'TBLA'`` serializer
+    columns (``_seg_*``) so ``as_arrays()`` and the ``'TBLD'`` delta serializer
     are zero-copy.
     """
     base_names, base_of = base_names_of(tasks)

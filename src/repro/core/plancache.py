@@ -1,8 +1,9 @@
 """Content-addressed on-disk plan cache (the campaign engine's warm path).
 
 Sec. 7.1 observes that tables for common configurations can be
-"trivially" cached and reused.  :class:`~repro.core.cache.TableCache`
-does that within one process; this module extends the idea across
+"trivially" cached and reused.  Within one process the planner does
+that per core (:mod:`repro.core.edfcore`'s name-free shape cache and
+the planner's per-core memo); this module extends the idea across
 processes and runs: a :class:`PlanStore` persists finished
 :class:`~repro.core.planner.PlanResult` objects on disk, keyed by a
 fingerprint of the *exact* planning inputs — the same
@@ -28,12 +29,13 @@ import itertools
 import os
 import pickle
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.atomicio import atomic_write_bytes
 from repro.core.params import VCpuSpec, VMSpec, flatten_vcpus
+from repro.core.table import SystemTable
 from repro.crashpoints import CRASH_PLANCACHE_PRE_RENAME
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -50,6 +52,12 @@ def _as_vcpus(workload: Workload) -> Sequence[VCpuSpec]:
         return flatten_vcpus(items)  # type: ignore[arg-type]
     return items  # type: ignore[return-value]
 
+
+def _reservation(spec: VCpuSpec) -> Tuple[int, int, bool]:
+    """A vCPU's reservation: (utilization in ppm, latency, capped)."""
+    return (round(spec.utilization * 1_000_000), spec.latency_ns, spec.capped)
+
+
 #: On-disk entry format: magic | version u16 | reserved u16 | sha256.
 MAGIC = b"TPLC"
 
@@ -58,7 +66,9 @@ MAGIC = b"TPLC"
 #: regenerated rather than trusted.  v2: the columnar planner stores
 #: segment columns on each ``CoreTable`` and leaves slices lazy — v1
 #: pickles lack the column attributes and would deserialize broken.
-CACHE_VERSION = 2
+#: v3: tables whose columns are exact leave the allocation list out of
+#: the pickle (rebuilt on first use); a v2 reader would miss it.
+CACHE_VERSION = 3
 
 _HEADER = struct.Struct("<4sHH32s")
 
@@ -142,6 +152,18 @@ def topology_token(topology: "Topology") -> str:
     )
 
 
+def _planner_token(planner: "Planner") -> str:
+    """The topology plus every planner knob the pipeline reads."""
+    return (
+        f"{topology_token(planner.topology)}"
+        f";hp={planner.hyperperiod_ns};mp={planner.min_period_ns}"
+        f";co={planner.coalesce_threshold_ns};pc={planner.min_piece_ns}"
+        f";sl={planner.strict_latency};ph={planner.peephole}"
+        f";sc={planner.split_compensation!r};rot={planner.rotation}"
+        f";numa={planner.numa};policy={planner.policy!r};"
+    )
+
+
 def plan_key(planner: "Planner", workload: Workload) -> str:
     """Content fingerprint of one planning request.
 
@@ -155,16 +177,7 @@ def plan_key(planner: "Planner", workload: Workload) -> str:
     vcpus = _as_vcpus(workload)
     hasher = hashlib.sha256()
     hasher.update(f"store-v{CACHE_VERSION};".encode())
-    hasher.update(topology_token(planner.topology).encode())
-    hasher.update(
-        (
-            f";hp={planner.hyperperiod_ns};mp={planner.min_period_ns}"
-            f";co={planner.coalesce_threshold_ns};pc={planner.min_piece_ns}"
-            f";sl={planner.strict_latency};ph={planner.peephole}"
-            f";sc={planner.split_compensation!r};rot={planner.rotation}"
-            f";numa={planner.numa};policy={planner.policy!r};"
-        ).encode()
-    )
+    hasher.update(_planner_token(planner).encode())
     for spec in vcpus:
         hasher.update(
             f"{spec.name},{spec.utilization!r},{spec.latency_ns},"
@@ -176,32 +189,20 @@ def plan_key(planner: "Planner", workload: Workload) -> str:
 def shape_plan_key(planner: "Planner", workload: Workload) -> str:
     """Content fingerprint of a planning request's *shape*.
 
-    Like :func:`plan_key` but keyed on the order-independent
-    reservation multiset (:func:`repro.core.cache.census_signature`)
-    instead of the exact named census.  Two censuses that differ only in
-    VM names share a shape key, so a stored entry can be rebound
-    (:func:`repro.core.cache.rebind_plan`) onto either — the on-disk
-    counterpart of :class:`~repro.core.cache.TableCache`'s Sec. 7.1
-    caching.  Under tenant churn exact names never repeat, which would
-    make :func:`plan_key` entries write-only; shape keys are what keep
-    a long-running control plane's store bounded and warm.
+    Like :func:`plan_key` but keyed on the order-independent multiset
+    of reservations (utilization, latency, capped) instead of the exact
+    named census.  Two censuses that differ only in VM names share a
+    shape key, so a stored entry can be renamed onto either (see
+    :meth:`PlanStore.plan_shaped`).  Under tenant churn exact names
+    never repeat, which would make :func:`plan_key` entries write-only;
+    shape keys are what keep a long-running control plane's store
+    bounded and warm.
     """
-    from repro.core.cache import census_signature
-
     vcpus = _as_vcpus(workload)
     hasher = hashlib.sha256()
     hasher.update(f"store-shape-v{CACHE_VERSION};".encode())
-    hasher.update(topology_token(planner.topology).encode())
-    hasher.update(
-        (
-            f";hp={planner.hyperperiod_ns};mp={planner.min_period_ns}"
-            f";co={planner.coalesce_threshold_ns};pc={planner.min_piece_ns}"
-            f";sl={planner.strict_latency};ph={planner.peephole}"
-            f";sc={planner.split_compensation!r};rot={planner.rotation}"
-            f";numa={planner.numa};policy={planner.policy!r};"
-        ).encode()
-    )
-    for ppm, latency_ns, capped in census_signature(vcpus):
+    hasher.update(_planner_token(planner).encode())
+    for ppm, latency_ns, capped in sorted(_reservation(v) for v in vcpus):
         hasher.update(f"{ppm},{latency_ns},{capped};".encode())
     return hasher.hexdigest()
 
@@ -451,7 +452,6 @@ class PlanStore:
             cached.stats.plan_cache_hit = True
             return cached
         result = planner.plan(list(vcpus))
-        result.stats.plan_cache_hit = False
         self.put(key, result)
         return result
 
@@ -459,23 +459,67 @@ class PlanStore:
         """Plan ``workload``, reusing any stored *same-shape* result.
 
         Keys on :func:`shape_plan_key`, so a hit may carry different VM
-        names than the request: the stored plan is rebound onto the
-        requested census with
-        :func:`repro.core.cache.rebind_plan` (an O(table) rename — no
-        planner work).  This is the lookup long-running control planes
-        use: under create/destroy churn the shape space is small and
+        names than the request: the stored plan is renamed onto the
+        requested census (each core's name list is renamed — no planner
+        work).  This is the lookup long-running control planes use:
+        under create/destroy churn the shape space is small and
         revisited while the name space grows without bound.
         """
-        from repro.core.cache import rebind_plan
-
         vcpus = _as_vcpus(workload)
         key = shape_plan_key(planner, vcpus)
         cached = self.get(key)
         if cached is not None:
-            result = rebind_plan(cached, vcpus)
-            result.stats.plan_cache_hit = True
-            return result
+            return _renamed(cached, vcpus)
         result = planner.plan(list(vcpus))
-        result.stats.plan_cache_hit = False
         self.put(key, result)
         return result
+
+
+def _renamed(cached: "PlanResult", vcpus: Sequence[VCpuSpec]) -> "PlanResult":
+    """A stored same-shape plan with its vCPUs renamed onto ``vcpus``.
+
+    Each new vCPU takes over the slots of a stored vCPU with the same
+    reservation.  The result shares no mutable state with ``cached``
+    and carries fresh stats with ``plan_cache_hit`` set.
+    """
+    from repro.core.planner import PlanResult
+
+    pools: Dict[Tuple[int, int, bool], List[str]] = {}
+    for name, spec in cached.vcpus.items():
+        pools.setdefault(_reservation(spec), []).append(name)
+    for names in pools.values():
+        names.sort()
+    rename: Dict[str, str] = {}
+    specs: Dict[str, VCpuSpec] = {}
+    for vcpu in sorted(vcpus, key=lambda v: v.name):
+        rename[pools[_reservation(vcpu)].pop()] = vcpu.name
+        specs[vcpu.name] = vcpu
+
+    system = cached.table
+    # The name index is positional, so renaming it equals rebuilding it
+    # from the renamed cores, without touching their allocation lists.
+    table = SystemTable(
+        length_ns=system.length_ns,
+        cores={cpu: core.renamed(rename) for cpu, core in system.cores.items()},
+        vcpu_names=[rename[name] for name in system.vcpu_names],
+        home_cores={
+            rename[name]: list(cores) for name, cores in system.home_cores.items()
+        },
+    )
+    tasks = {
+        rename[name]: replace(task, name=rename[name], vcpu=specs[rename[name]])
+        for name, task in cached.tasks.items()
+    }
+    assignment = {
+        core: [tasks[rename[t.name.split("#")[0]]] for t in pieces]
+        for core, pieces in cached.assignment.items()
+        if core != "__cluster__"
+    }
+    return PlanResult(
+        table=table,
+        tasks=tasks,
+        vcpus=specs,
+        assignment=assignment,
+        admission=cached.admission,
+        stats=replace(cached.stats, plan_cache_hit=True),
+    )

@@ -18,14 +18,16 @@ the array dispatch engine plays back the planner's segment columns
 directly and the object scheduler builds slices at install time, so
 eager slice construction on every replan was pure waste.
 
-Replanning is incremental at three levels.  Per-core tables are memoized
-by exact task set (`_core_cache`), so a census that changes one VM only
-re-simulates the cores WFD actually repacked.  Whole plans are memoized
-by exact census + knobs (`_plan_memo`), so the daemon's periodic
-same-census regeneration is a lookup.  And every result reports
-``stats.changed_cores`` — the cores whose tables differ from the
-previous plan — which is what lets the daemon push per-core column
-deltas instead of full tables.
+Replanning reuses work through one per-core memo.  Finished core tables
+are memoized process-wide by exact task set (:mod:`repro.core.cache`),
+so a census that changes one VM only materializes the cores WFD
+actually repacked; a miss still runs EDF only once per task *shape*,
+because :mod:`repro.core.edfcore` caches segment columns name-free.
+Cores whose table is unchanged since this planner's previous plan are
+reissued as the identical ``CoreTable`` object, which is what lets the
+daemon's delta push skip them by identity.  A small per-planner
+whole-plan memo (`_plan_memo`) makes the daemon's periodic same-census
+regeneration a lookup.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core import cache
 from repro.core.admission import AdmissionReport, admit_or_raise
 from repro.core.affinity import CoschedulingPolicy, constrained_worst_fit
 from repro.core.edfcore import (
@@ -81,25 +84,11 @@ METHOD_CLUSTERED = "clustered"
 #: than just running the kernels serially.
 PARALLEL_MIN_JOBS = 120_000
 
-#: Maximum per-core table memo entries kept by one planner (LRU).
-CORE_CACHE_SIZE = 512
-
 #: Whole-plan value memo entries (exact census + knobs -> PlanResult).
 PLAN_MEMO_SIZE = 4
 
 #: vCPU -> task conversion memo bound (cleared wholesale when full).
 TASK_CACHE_SIZE = 4096
-
-#: Process-wide core-record memo (cleared wholesale when full).  The
-#: per-core key (see :meth:`Planner._core_key`) captures every input the
-#: materialization reads, so a finished record is valid for *any*
-#: planner instance — a restarted daemon or a service spawning a fresh
-#: planner re-derives nothing the process has already computed.  Each
-#: planner still keeps its own LRU (`_core_cache`) for hit accounting
-#: and identity-stable reissue; this layer only backstops its misses.
-_SHARED_CORE_CACHE: Dict[Tuple, "_CoreRecord"] = {}
-_SHARED_CORE_CACHE_SIZE = 4096
-
 
 @dataclass
 class _CoreFragment:
@@ -162,21 +151,6 @@ class _CoreRecord:
 
 
 @dataclass
-class CensusDelta:
-    """One batched census change (the service layer's flush-window unit).
-
-    ``create`` and ``reconfigure`` take :class:`VMSpec` or
-    :class:`VCpuSpec` items; ``destroy`` takes VM or vCPU names.  A
-    reconfigured VM keeps its position in the census (so unrelated
-    cores keep their WFD packing); creates append.
-    """
-
-    create: Sequence[Union[VMSpec, VCpuSpec]] = ()
-    reconfigure: Sequence[Union[VMSpec, VCpuSpec]] = ()
-    destroy: Sequence[str] = ()
-
-
-@dataclass
 class PlanStats:
     """Bookkeeping about one planning run (feeds Figs. 3 and 4)."""
 
@@ -194,10 +168,6 @@ class PlanStats:
     #: being generated (generation_seconds then reports the *original*
     #: generation cost, not the lookup cost).
     plan_cache_hit: bool = False
-    #: Cores whose tables differ from this planner's previous plan
-    #: (``None`` when there is no previous plan or the core sets differ;
-    #: callers must then treat every core as changed).
-    changed_cores: Optional[List[int]] = None
 
 
 @dataclass
@@ -255,11 +225,12 @@ class Planner:
             pool never engages on single-CPU hosts, where it can only
             lose.
 
-    The planner memoizes at two levels: finished core tables keyed by
-    the exact task set handed to a core (so replanning an incrementally
-    changed census only re-simulates cores whose task sets actually
-    changed), and whole plans keyed by the exact census plus every knob
-    (so periodic same-census regeneration is a dictionary lookup).
+    Finished core tables are memoized process-wide by the exact task
+    set handed to a core (so replanning an incrementally changed census
+    only re-simulates cores whose task sets actually changed), and each
+    planner keeps its last few whole plans keyed by the exact census
+    plus every knob (so periodic same-census regeneration is a
+    dictionary lookup).
     """
 
     def __init__(
@@ -292,7 +263,6 @@ class Planner:
         self.numa = numa
         self.parallel = parallel
         self.last_numa_report: Optional[NumaReport] = None
-        self._core_cache: "OrderedDict[Tuple, _CoreRecord]" = OrderedDict()
         self.core_cache_hits = 0
         self.core_cache_misses = 0
         self._plan_memo: "OrderedDict[Tuple, PlanResult]" = OrderedDict()
@@ -300,94 +270,26 @@ class Planner:
         self.plan_memo_misses = 0
         self._task_cache: Dict[VCpuSpec, PeriodicTask] = {}
         self._dedicated_cache: Dict[Tuple[int, str], CoreTable] = {}
-        #: Core tables of the previous plan, for changed-core detection
-        #: (allocation-list identity: the core memo shares allocation
-        #: lists across reissues, so `is` equality means byte equality).
+        #: Core tables of the previous plan: an unchanged core is
+        #: reissued as the same object (allocation-list identity: the
+        #: core memo shares allocation lists across reissues).
         self._last_tables: Optional[Dict[int, CoreTable]] = None
-        #: The census last planned, the base `plan_delta` diffs against.
-        self._census: Optional[List[VCpuSpec]] = None
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
     def plan(
-        self,
-        workload: Union[Sequence[VMSpec], Sequence[VCpuSpec], CensusDelta],
+        self, workload: Union[Sequence[VMSpec], Sequence[VCpuSpec]]
     ) -> PlanResult:
-        """Generate a validated system table for a set of VMs (or vCPUs).
-
-        Also accepts a :class:`CensusDelta`, which is applied to the
-        previously planned census (see :meth:`plan_delta`).
-        """
-        if isinstance(workload, CensusDelta):
-            return self.plan_delta(workload)
+        """Generate a validated system table for a set of VMs (or vCPUs)."""
         vcpus = self._as_vcpus(workload)
         result = self._plan_once(vcpus)
         if self.split_compensation > 0.0 and result.stats.split_tasks:
             compensated = self._compensate(result)
             if compensated is not None:
                 result = compensated
-        self._census = vcpus
         return result
-
-    def plan_delta(self, delta: CensusDelta) -> PlanResult:
-        """Replan after a census diff against the previous census.
-
-        Equivalent to editing the census by hand and calling
-        :meth:`plan` — the differential suite holds the two bit-equal —
-        but states the *intent*: the per-core memo then confines EDF
-        re-simulation to the cores WFD actually repacked, and
-        ``stats.changed_cores`` tells the daemon which per-core columns
-        to push.
-        """
-        base = self._census
-        if base is None:
-            raise PlanningError(
-                "delta replan without a base census (call plan() first)"
-            )
-        return self.plan(self._apply_delta(base, delta))
-
-    def _apply_delta(
-        self, base: Sequence[VCpuSpec], delta: CensusDelta
-    ) -> List[VCpuSpec]:
-        """The previous census with ``delta`` applied, order-preserving."""
-        census = list(base)
-        for token in delta.destroy:
-            kept = [v for v in census if v.name != token and v.vm != token]
-            if len(kept) == len(census):
-                raise PlanningError(
-                    f"delta destroy of unknown vCPU/VM {token!r}"
-                )
-            census = kept
-        for item in delta.reconfigure:
-            if isinstance(item, VMSpec):
-                name = item.name
-                indices = [i for i, v in enumerate(census) if v.vm == name]
-                replacement = list(item.vcpus)
-            else:
-                name = item.name
-                indices = [i for i, v in enumerate(census) if v.name == name]
-                replacement = [item]
-            if not indices:
-                raise PlanningError(
-                    f"delta reconfigure of unknown vCPU/VM {name!r}"
-                )
-            first = indices[0]
-            for i in reversed(indices):
-                del census[i]
-            census[first:first] = replacement
-        existing = {v.name for v in census}
-        for item in delta.create:
-            created = item.vcpus if isinstance(item, VMSpec) else [item]
-            for vcpu in created:
-                if vcpu.name in existing:
-                    raise PlanningError(
-                        f"delta create of duplicate vCPU {vcpu.name!r}"
-                    )
-                existing.add(vcpu.name)
-                census.append(vcpu)
-        return census
 
     def _compensate(self, result: PlanResult) -> Optional[PlanResult]:
         """Replan with split vCPUs' utilization inflated (Sec. 7.5)."""
@@ -480,7 +382,6 @@ class Planner:
             )
         self._check_guarantees(core_tables, vcpus, task_index, info)
 
-        changed = self._diff_tables(core_tables)
         self._last_tables = core_tables
 
         stats = PlanStats(
@@ -493,7 +394,6 @@ class Planner:
             cluster_cores=cluster_cores,
             coalesce=report,
             peephole=peephole_report,
-            changed_cores=changed,
         )
         stats.table_bytes = table_size_bytes(system)
         result = PlanResult(
@@ -516,11 +416,9 @@ class Planner:
         The table/tasks/assignment are structurally shared (immutable
         after planning); the stats object is rebuilt so callers mutating
         flags (``plan_cache_hit``, ``compensated_vcpus``) cannot poison
-        the memoized original, and ``changed_cores`` reflects *this*
-        call's position in the plan sequence, not the original's.
+        the memoized original.
         """
         old = cached.stats
-        changed = self._diff_tables(cached.table.cores)
         self._last_tables = cached.table.cores
         # A whole-plan hit reuses every core table, so it counts as a
         # full sweep of core-cache hits (and zero new simulations).
@@ -536,7 +434,6 @@ class Planner:
             table_bytes=old.table_bytes,
             coalesce=old.coalesce,
             peephole=old.peephole,
-            changed_cores=changed,
         )
         return PlanResult(
             table=cached.table,
@@ -546,25 +443,6 @@ class Planner:
             admission=cached.admission,
             stats=stats,
         )
-
-    def _diff_tables(
-        self, core_tables: Dict[int, CoreTable]
-    ) -> Optional[List[int]]:
-        """Cores whose tables differ from the previous plan, by identity.
-
-        Reissued and memoized tables share allocation lists with their
-        originals, so `is` comparison is exact: shared list -> identical
-        table.  ``None`` (not ``[]``) when no previous plan exists or
-        the core sets differ — the caller must then push everything.
-        """
-        previous = self._last_tables
-        if previous is None or previous.keys() != core_tables.keys():
-            return None
-        return [
-            cpu
-            for cpu in sorted(core_tables)
-            if previous[cpu].allocations is not core_tables[cpu].allocations
-        ]
 
     # ------------------------------------------------------------------
     # Stages
@@ -606,8 +484,7 @@ class Planner:
         """Memoized single-allocation table for a dedicated vCPU.
 
         Reusing the object keeps unchanged dedicated cores identity-
-        stable across plans, so they never show up in changed-core
-        diffs (and never get re-pushed by the delta path).
+        stable across plans, so the daemon's delta push skips them.
         """
         key = (core, name)
         table = self._dedicated_cache.get(key)
@@ -691,10 +568,10 @@ class Planner:
         """Simulate schedules, rename task pieces to vCPUs, coalesce.
 
         A finished core table depends only on the (ordered) task set it
-        was generated from, so results are memoized: cores whose task
-        set is unchanged since an earlier plan reuse the cached table
-        (sharing its allocation list and segment columns) and skip EDF
-        simulation and validation entirely.  A hit whose core also held
+        was generated from, so results are memoized process-wide: cores
+        whose task set any planner has materialized before reuse the
+        cached table (sharing its allocation list and segment columns)
+        and skip EDF simulation and validation entirely.  A hit whose core also held
         the identical table in the *previous* plan reuses that exact
         object, keeping unchanged cores identity-stable for the delta
         push.  Cache misses run the columnar kernels, serially or (for
@@ -707,24 +584,16 @@ class Planner:
         cluster_tasks = assignment.pop("__cluster__", None)
         peephole_report: Optional[PeepholeReport] = None
 
-        cache = self._core_cache
         last = self._last_tables
         pending: List[Tuple[int, List[PeriodicTask], Tuple]] = []
         for core, tasks in assignment.items():
             key = self._core_key(tasks)
-            record = cache.get(key)
-            if record is not None:
-                cache.move_to_end(key)
-                self.core_cache_hits += 1
-            else:
+            record = cache.CORE_MEMO.get(key)
+            if record is None:
                 self.core_cache_misses += 1
-                record = _SHARED_CORE_CACHE.get(key)
-                if record is None:
-                    pending.append((core, tasks, key))
-                    continue
-                cache[key] = record
-                if len(cache) > CORE_CACHE_SIZE:
-                    cache.popitem(last=False)
+                pending.append((core, tasks, key))
+                continue
+            self.core_cache_hits += 1
             previous = last.get(core) if last is not None else None
             if (
                 previous is not None
@@ -746,13 +615,9 @@ class Planner:
             fragments[core] = fragment
             report.merge(core_coalesce)
             peephole_report = _merge_peephole(peephole_report, core_peephole)
-            record = _CoreRecord(table, core_coalesce, core_peephole, fragment)
-            cache[key] = record
-            if len(cache) > CORE_CACHE_SIZE:
-                cache.popitem(last=False)
-            if len(_SHARED_CORE_CACHE) >= _SHARED_CORE_CACHE_SIZE:
-                _SHARED_CORE_CACHE.clear()
-            _SHARED_CORE_CACHE[key] = record
+            cache.remember(
+                key, _CoreRecord(table, core_coalesce, core_peephole, fragment)
+            )
 
         if cluster_tasks is not None:
             cluster_tables = dp_wrap_schedule(

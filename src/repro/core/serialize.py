@@ -34,10 +34,6 @@ from repro.errors import TableFormatError
 MAGIC = b"TBLO"
 VERSION = 1
 
-#: Magic of the structure-of-arrays payload (:func:`serialize_arrays`).
-ARRAY_MAGIC = b"TBLA"
-ARRAY_VERSION = 1
-
 #: Magic of the delta payload (:func:`serialize_delta`): only the cores
 #: that changed since a known base table travel, as raw segment columns.
 DELTA_MAGIC = b"TBLD"
@@ -47,7 +43,7 @@ _HEADER = struct.Struct("<4sHHQII")
 _CPU_HEADER = struct.Struct("<IIQII")
 _ALLOC = struct.Struct("<QQiI8x")
 _SLICE = struct.Struct("<ii")
-_ARRAY_CPU_HEADER = struct.Struct("<II")
+_DELTA_CPU_HEADER = struct.Struct("<II")
 
 #: Flags stored per allocation record.
 FLAG_IDLE = 0x1
@@ -161,127 +157,25 @@ def deserialize(payload: bytes) -> SystemTable:
     return SystemTable(length_ns=length_ns, cores=cores)
 
 
-def serialize_arrays(table: SystemTable) -> bytes:
-    """Encode a table as the dispatcher's structure-of-arrays payload.
-
-    The record format above is the planner->hypervisor ABI; this is the
-    dispatcher-side compilation of the same table: per core, the
-    gap-free segment columns the array engine
-    (:mod:`repro.sim.arraycore`) plays back with a cursor.  Layout
-    (little-endian):
-
-        header    : magic 'TBLA' | version u16 | ncpus u16 | length u64
-                    | nvcpus u32 | reserved u32                  (24 B)
-        string tbl: nvcpus x (u16 len | utf-8 bytes)
-        per cpu   : cpu u32 | nsegs u32                           (8 B)
-          ends    : nsegs x i64  (raw column, segment end times)
-          handles : nsegs x i64  (raw column, vCPU ids; -1 = idle)
-
-    Segment starts are not stored: the columns cover ``[0, length_ns)``
-    without gaps, so ``start[i]`` is ``end[i-1]`` (``0`` for the first
-    segment).  The raw i64 columns round-trip straight into
-    ``array('q')`` with no per-record unpacking.
-    """
-    columns = table.as_arrays()
-    chunks: List[bytes] = [
-        _HEADER.pack(
-            ARRAY_MAGIC,
-            ARRAY_VERSION,
-            len(columns),
-            table.length_ns,
-            len(table.vcpu_names),
-            0,
-        )
-    ]
-    for name in table.vcpu_names:
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-    for cpu in sorted(columns):
-        _starts, ends, handles = columns[cpu]
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
-            ends, handles = ends[:], handles[:]
-            ends.byteswap()
-            handles.byteswap()
-        chunks.append(_ARRAY_CPU_HEADER.pack(cpu, len(ends)))
-        chunks.append(ends.tobytes())
-        chunks.append(handles.tobytes())
-    return b"".join(chunks)
-
-
-def deserialize_arrays(
-    payload: bytes,
-) -> Tuple[int, List[str], Dict[int, Tuple[array, array]]]:
-    """Decode a structure-of-arrays payload.
-
-    Returns ``(length_ns, vcpu_names, columns)`` where ``columns`` maps
-    each cpu to its ``(ends, handles)`` pair of ``array('q')`` columns,
-    ready for cursor playback.  Raises :class:`TableFormatError` on bad
-    magic, version mismatch, or truncation, mirroring
-    :func:`deserialize`.
-    """
-    view = memoryview(payload)
-    offset = 0
-    if _HEADER.size > len(view):
-        raise TableFormatError("truncated array table header")
-    magic, version, ncpus, length_ns, nvcpus, _ = _HEADER.unpack_from(view, 0)
-    offset = _HEADER.size
-    if magic != ARRAY_MAGIC:
-        raise TableFormatError(f"bad array-table magic {magic!r}")
-    if version != ARRAY_VERSION:
-        raise TableFormatError(f"unsupported array-table version {version}")
-
-    names: List[str] = []
-    for _ in range(nvcpus):
-        if offset + 2 > len(view):
-            raise TableFormatError("truncated vCPU string table header")
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        if offset + name_len > len(view):
-            raise TableFormatError("truncated vCPU string table")
-        try:
-            names.append(bytes(view[offset : offset + name_len]).decode("utf-8"))
-        except UnicodeDecodeError as error:
-            raise TableFormatError(f"corrupt vCPU name: {error}") from None
-        offset += name_len
-
-    columns: Dict[int, Tuple[array, array]] = {}
-    for _ in range(ncpus):
-        if offset + _ARRAY_CPU_HEADER.size > len(view):
-            raise TableFormatError("truncated per-cpu array header")
-        cpu, nsegs = _ARRAY_CPU_HEADER.unpack_from(view, offset)
-        offset += _ARRAY_CPU_HEADER.size
-        column_bytes = nsegs * 8
-        if offset + 2 * column_bytes > len(view):
-            raise TableFormatError(
-                f"truncated segment columns for cpu {cpu} at offset {offset}"
-            )
-        ends = array("q")
-        handles = array("q")
-        ends.frombytes(view[offset : offset + column_bytes])
-        offset += column_bytes
-        handles.frombytes(view[offset : offset + column_bytes])
-        offset += column_bytes
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
-            ends.byteswap()
-            handles.byteswap()
-        for handle in handles:
-            if handle >= len(names):
-                raise TableFormatError(f"vCPU handle {handle} out of range")
-        columns[cpu] = (ends, handles)
-    return length_ns, names, columns
-
-
 def serialize_delta(
     table: SystemTable, changed_cores: List[int], base_token: int
 ) -> bytes:
     """Encode a delta push: only ``changed_cores``, as segment columns.
 
-    Layout mirrors :func:`serialize_arrays` — header (with the base
-    token in the reserved slot), the *full* new vCPU string table
-    (handle assignments shift when the census changes, so names always
-    travel), then per changed cpu the gap-free ``ends``/``handles``
-    columns.  ``base_token`` names the staged table generation the delta
+    Layout (little-endian):
+
+        header    : magic 'TBLD' | version u16 | ncpus u16 | length u64
+                    | nvcpus u32 | base_token u32                (24 B)
+        string tbl: nvcpus x (u16 len | utf-8 bytes)
+        per cpu   : cpu u32 | nsegs u32                           (8 B)
+          ends    : nsegs x i64  (raw column, segment end times)
+          handles : nsegs x i64  (raw column, vCPU ids; -1 = idle)
+
+    The *full* new vCPU string table travels (handle assignments shift
+    when the census changes), then, per changed cpu, the gap-free
+    segment columns the dispatcher plays back with a cursor.  Segment
+    starts are not stored: the columns cover ``[0, length_ns)`` without
+    gaps, so ``start[i]`` is ``end[i-1]``.  ``base_token`` names the staged table generation the delta
     applies on top of; the hypervisor rejects a mismatched token with
     :class:`TableFormatError` and the daemon falls back to a full push.
     """
@@ -306,7 +200,7 @@ def serialize_delta(
             ends, handles = ends[:], handles[:]
             ends.byteswap()
             handles.byteswap()
-        chunks.append(_ARRAY_CPU_HEADER.pack(cpu, len(ends)))
+        chunks.append(_DELTA_CPU_HEADER.pack(cpu, len(ends)))
         chunks.append(ends.tobytes())
         chunks.append(handles.tobytes())
     return b"".join(chunks)
@@ -350,10 +244,10 @@ def deserialize_delta(
 
     columns: Dict[int, Tuple[array, array]] = {}
     for _ in range(ncpus):
-        if offset + _ARRAY_CPU_HEADER.size > len(view):
+        if offset + _DELTA_CPU_HEADER.size > len(view):
             raise TableFormatError("truncated per-cpu delta header")
-        cpu, nsegs = _ARRAY_CPU_HEADER.unpack_from(view, offset)
-        offset += _ARRAY_CPU_HEADER.size
+        cpu, nsegs = _DELTA_CPU_HEADER.unpack_from(view, offset)
+        offset += _DELTA_CPU_HEADER.size
         column_bytes = nsegs * 8
         if offset + 2 * column_bytes > len(view):
             raise TableFormatError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.tasks import PeriodicTask
 from repro.errors import ConfigurationError, PlanningError
@@ -99,11 +99,65 @@ class CoreTable:
 
     def __getstate__(self) -> Dict[str, object]:
         # Transient lookup memos are dropped from pickles (plan-store
-        # entries, process-pool transfers); the segment columns travel.
+        # entries, process-pool transfers); the segment columns travel,
+        # standing in for the allocation list when they encode it
+        # exactly: unpickling one Allocation per interval dominated a
+        # plan-store read, and most readers never touch the list.
         state = dict(self.__dict__)
         state["_memo"] = None
         state["_arrays_memo"] = None
+        if self._columns_exact():
+            state.pop("allocations", None)
         return state
+
+    if not TYPE_CHECKING:  # keep mypy's unknown-attribute errors
+        def __getattr__(self, name: str) -> object:
+            # Reached only for a missing attribute: a table unpickled or
+            # renamed from exact columns builds its allocations on first use.
+            names = self.__dict__.get("_seg_names")
+            if name != "allocations" or names is None:
+                raise AttributeError(name)
+            starts, ends, local = self._seg_starts, self._seg_ends, self._seg_local
+            allocations = [
+                Allocation(starts[k], ends[k], names[h])
+                for k, h in enumerate(local)
+                if h >= 0
+            ]
+            self.__dict__["allocations"] = allocations
+            return allocations
+
+    def _columns_exact(self) -> bool:
+        """Do the segment columns alone reproduce :attr:`allocations`?
+        Not when it holds explicit idle records (columns fold them into gaps)."""
+        local = self._seg_local
+        allocations = self.__dict__.get("allocations")
+        return local is not None and (
+            allocations is None or len(local) - local.count(-1) == len(allocations)
+        )
+
+    def renamed(self, rename: Dict[str, str]) -> "CoreTable":
+        """A copy of this table with every vCPU name mapped by ``rename``.
+
+        The copy shares the segment columns (never mutated in place) and
+        renames only the per-core name list, so the cost is O(vCPUs on
+        the core); it builds its allocation list on first use.
+        """
+        if self._seg_names is None:
+            self._derive_columns()
+        if not self._columns_exact():
+            raise ConfigurationError("cannot rename explicit idle records")
+        assert self._seg_names is not None
+        table = CoreTable(
+            cpu=self.cpu,
+            length_ns=self.length_ns,
+            _seg_starts=self._seg_starts,
+            _seg_ends=self._seg_ends,
+            _seg_local=self._seg_local,
+            _seg_names=[rename[name] for name in self._seg_names],
+            _min_alloc_ns=self._min_alloc_ns,
+        )
+        del table.__dict__["allocations"]
+        return table
 
     def validate_layout(self) -> None:
         """Check ordering, bounds, and non-overlap of the allocations."""
@@ -384,7 +438,7 @@ class SystemTable:
     _vcpu_ids: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     #: Cached :meth:`as_arrays` answer — a system table's allocations are
     #: immutable after planning, so repeated table switches (and the
-    #: ``'TBLA'`` serializer) reuse the same column objects.
+    #: ``'TBLD'`` delta serializer) reuse the same column objects.
     _arrays_cache: Optional[Dict[int, Tuple[array, array, array]]] = field(
         default=None, repr=False, compare=False
     )

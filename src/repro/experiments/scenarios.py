@@ -18,9 +18,9 @@ instances so tests, benchmarks, and examples stay declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.core import MS, Planner, PlanResult, PlanStore, make_vm, plan_key
+from repro.core import MS, Planner, PlanResult, PlanStore, make_vm
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -69,26 +69,6 @@ class Scenario:
         self.machine.run(int(seconds * 1e9))
 
 
-#: Process-local memo for :func:`plan_for`.  Every scenario builder and
-#: benchmark funnels through ``plan_for``; before this memo each call
-#: re-planned an identical ``(topology, num_vms, capped)`` census from
-#: scratch.  Keyed by the same exact-input fingerprint the on-disk
-#: :class:`PlanStore` uses, so hits are guaranteed bit-identical.
-_PLAN_MEMO: Dict[str, PlanResult] = {}
-
-#: Cumulative memo hits (exposed for tests and campaign stats).
-plan_for_cache_hits = 0
-
-
-def reset_plan_memo() -> None:
-    """Drop the process-local plan memo (bench/test hook).
-
-    The perf harness uses this to emulate the pre-cache execution path,
-    where every experiment re-planned its census from scratch.
-    """
-    _PLAN_MEMO.clear()
-
-
 def plan_for(
     topology: Topology,
     num_vms: int,
@@ -98,28 +78,20 @@ def plan_for(
 ) -> PlanResult:
     """The Tableau plan for the paper's uniform high-density census.
 
-    Identical requests are served from a process-local memo (and, when
-    ``store`` is given, from the on-disk :class:`PlanStore`, which also
-    receives fresh results for future runs).  The returned plan's
+    Every call returns a plan of its own; repeated censuses stay cheap
+    through the planner's process-wide per-core memo.  When ``store`` is
+    given the on-disk :class:`PlanStore` serves the plan (and receives
+    fresh results for future runs); the returned plan's
     ``stats.plan_cache_hit`` records whether planning work was skipped.
     ``latency_ns`` tightens or relaxes every VM's latency goal (the
     paper's default is 20 ms; Fig. 3's hardest curve uses 1 ms).
     """
-    global plan_for_cache_hits
     vms = [
         make_vm(f"vm{i:02d}", VM_UTILIZATION, latency_ns, capped=capped)
         for i in range(num_vms)
     ]
     planner = Planner(topology)
-    key = plan_key(planner, vms)
-    memoized = _PLAN_MEMO.get(key)
-    if memoized is not None:
-        plan_for_cache_hits += 1
-        memoized.stats.plan_cache_hit = True
-        return memoized
-    result = store.plan(planner, vms) if store is not None else planner.plan(vms)
-    _PLAN_MEMO[key] = result
-    return result
+    return store.plan(planner, vms) if store is not None else planner.plan(vms)
 
 
 def make_scheduler(

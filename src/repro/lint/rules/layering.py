@@ -18,10 +18,9 @@ The dependency direction the architecture relies on::
 
 ``repro.health`` reaches the planner *only* through
 :class:`repro.xen.daemon.PlannerDaemon` — importing
-``repro.core.planner`` (or ``Planner``/``TableCache`` from
-``repro.core``) from health code bypasses the transactional replan path
-PR 2 introduced.  Imports under ``if TYPE_CHECKING:`` are annotation-
-only and exempt.
+``repro.core.planner`` (or ``Planner`` from ``repro.core``) from
+health code bypasses the daemon's transactional replan path.
+Imports under ``if TYPE_CHECKING:`` are annotation-only and exempt.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ FORBIDDEN_EDGES: Tuple[Tuple[str, str, str], ...] = (
 
 #: Names that, imported from ``repro.core`` into health code, smuggle a
 #: direct planner dependency past the module-level edge check.
-_PLANNER_NAMES = {"Planner", "TableCache"}
+_PLANNER_NAMES = {"Planner"}
 
 
 @register

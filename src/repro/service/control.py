@@ -135,11 +135,13 @@ class SchedulerService:
         topology: The machine whose tables the service maintains.
         config: Operating knobs (:class:`ServiceConfig`).
         scheduler: Scheduler axis value — selects the latency model
-            (``tableau`` pays Fig. 3 table generation amortized by the
-            shape cache; dynamic schedulers pay a flat runqueue
-            reconfiguration cost).
-        store: Optional on-disk plan store backing the daemon's table
-            cache across runs.
+            (``tableau`` pays Fig. 3 table generation, amortized for a
+            recurring census shape by the planner's two in-memory
+            layers — the name-free per-core shape cache and the
+            per-core memo over it; dynamic schedulers pay a flat
+            runqueue reconfiguration cost).
+        store: Optional on-disk plan store the daemon consults by
+            census shape before planning, so plans survive across runs.
         engine: Bring-your-own event loop (tests compose the service
             with other actors); by default the service owns one.
         journal: Optional write-ahead log.  Every submitted request is
@@ -177,7 +179,6 @@ class SchedulerService:
         self.daemon = PlannerDaemon(
             topology,
             hypercall=None,
-            cache=True,
             history_limit=self.config.history_limit,
             store=store,
         )

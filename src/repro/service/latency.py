@@ -5,10 +5,13 @@ observability, but it depends on the host machine and the plan cache's
 temperature, so it must never drive the simulated clock (byte-identical
 service reports are an acceptance invariant).  This model is the
 simulation-side stand-in: replan cost as a pure integer function of the
-census size and whether the table cache already holds the shape,
-calibrated to the paper's Fig. 3 table-generation curve (hundreds of
-milliseconds for dense censuses, amortized to almost nothing by the
-Sec. 7.1 cache).
+census size and whether the service has planned the census shape
+before, calibrated to the paper's Fig. 3 table-generation curve
+(hundreds of milliseconds for dense censuses, amortized to almost
+nothing by Sec. 7.1 caching).  In the code that caching is the
+planner's two in-memory layers: :mod:`repro.core.edfcore`'s name-free
+per-core shape cache, which runs EDF once per core task shape, and the
+planner's per-core memo over it, keyed by the exact named task set.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from repro.errors import ConfigurationError
 @dataclass(frozen=True)
 class PlannerLatencyModel:
     """Affine simulated replan cost: ``base + per_vcpu * n``, or a flat
-    cache-hit cost when the census shape is already cached (a rebind is
-    an O(table) rename, not a planning pass).
+    cache-hit cost when the census shape recurs (its cores' task shapes
+    are then already in the planner's shape cache, so EDF is not re-run).
 
     The defaults model the Tableau planner.  Dynamic schedulers
     (credit, credit2, rtds) reconfigure runqueues instead of generating

@@ -34,8 +34,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, TYPE_CHECKING
 
-from repro.core import METHOD_PARTITIONED, Planner, PlanResult, TableCache
-from repro.core.params import VMSpec, flatten_vcpus
+from repro.core import METHOD_PARTITIONED, Planner, PlanResult
+from repro.core.params import VMSpec
 from repro.core.table import SystemTable
 from repro.crashpoints import CRASH_DAEMON_MID_RETRY, crashpoint
 from repro.errors import (
@@ -98,9 +98,6 @@ class PlannerDaemon:
             replan is immediately compiled and pushed (the normal mode).
             Without it the daemon just plans (useful for dry-run
             admission checks and unit tests).
-        cache: Reuse tables across same-shape censuses (Sec. 7.1's
-            caching optimization) — a tier-based cloud hits this cache
-            on almost every create/destroy.
         faults: Optional fault plan consulted before each planning pass
             (site ``planner.plan``); push-site faults are consulted by
             the hypercall itself.
@@ -113,34 +110,32 @@ class PlannerDaemon:
             dropped (the operation is failed, not slow).
         history_limit: Size of the bounded :attr:`history` /
             :attr:`push_backoffs_ns` rings.
-        cache_capacity: In-memory shape-cache capacity when ``cache``
-            is enabled.
         store: Optional on-disk :class:`~repro.core.plancache.PlanStore`
-            backing the table cache (requires ``cache=True``), keyed by
-            census shape so a restarted daemon starts warm.
+            consulted by census shape before planning
+            (:meth:`~repro.core.plancache.PlanStore.plan_shaped`), so a
+            restarted daemon starts warm.
         planner_kwargs: Forwarded to :class:`repro.core.Planner`.
+
+    In memory, plan reuse is the planner's own (Sec. 7.1's caching
+    optimization at per-core granularity): a name-free shape cache
+    under a per-core memo, so a tier-based cloud's recurring shapes
+    replan without re-running EDF.
     """
 
     def __init__(
         self,
         topology: Topology,
         hypercall: Optional[TableHypercall] = None,
-        cache: bool = False,
         faults: Optional["FaultPlan"] = None,
         push_retries: int = 3,
         push_backoff_ns: int = 1_000_000,
         history_limit: int = HISTORY_LIMIT,
-        cache_capacity: int = 64,
         store: Optional["PlanStore"] = None,
         **planner_kwargs,
     ) -> None:
         self.planner = Planner(topology, **planner_kwargs)
         self.hypercall = hypercall
-        self.cache = (
-            TableCache(self.planner, capacity=cache_capacity, store=store)
-            if cache
-            else None
-        )
+        self.store = store
         self.faults = faults
         self.push_retries = push_retries
         self.push_backoff_ns = push_backoff_ns
@@ -190,8 +185,8 @@ class PlannerDaemon:
             self._record_failure(reason, specs, STATUS_PLAN_FAILED, error)
             raise error
         try:
-            if self.cache is not None:
-                result = self.cache.plan(flatten_vcpus(specs))
+            if self.store is not None:
+                result = self.store.plan_shaped(self.planner, specs)
             else:
                 result = self.planner.plan(specs)
         except ReproError as error:
@@ -317,9 +312,9 @@ class PlannerDaemon:
 
         Returns ``None`` when no delta base exists or the geometry
         (length, core set) changed — i.e. a delta is inexpressible.
-        Structurally shared cores (delta replans reuse untouched
-        ``CoreTable`` objects) are skipped by identity before falling
-        back to an allocation-by-allocation comparison.
+        Structurally shared cores (the planner reissues an unchanged
+        core as the same ``CoreTable`` object) are skipped by identity
+        before falling back to an allocation-by-allocation comparison.
         """
         base = self._last_pushed_table
         if base is None:

@@ -1,14 +1,15 @@
-"""Plan reuse across the experiment drivers (ISSUE satellite a).
+"""Plan reuse across the experiment drivers.
 
 ``experiments.scenarios.plan_for`` and the Fig. 3/4 scaling sweeps
 route through the content-addressed :class:`PlanStore`; both expose
 cache-hit counters so campaigns and tests can verify planning work was
-actually skipped.
+actually skipped.  Without a store, repeated censuses are cheap through
+the planner's process-wide per-core memo, and every call still returns
+a plan of its own.
 """
 
-import pytest
-
 from repro.core import PlanStore
+from repro.core.table import CoreTable
 from repro.experiments import scenarios
 from repro.experiments.planner_scaling import (
     full_sweep,
@@ -18,37 +19,48 @@ from repro.experiments.planner_scaling import (
 from repro.topology import uniform
 
 
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    scenarios.reset_plan_memo()
-    yield
-    scenarios.reset_plan_memo()
-
-
-class TestPlanForMemo:
-    def test_repeat_census_hits_memo(self):
-        before = scenarios.plan_for_cache_hits
+class TestPlanFor:
+    def test_repeat_census_shares_no_mutable_state(self):
         first = scenarios.plan_for(uniform(4), 8, False)
-        assert scenarios.plan_for_cache_hits == before
         second = scenarios.plan_for(uniform(4), 8, False)
-        assert scenarios.plan_for_cache_hits == before + 1
-        assert second is first
-        assert second.stats.plan_cache_hit
+        assert first is not second
+        assert first.stats is not second.stats
+        assert first.table is not second.table
+        assert first.table.cores is not second.table.cores
+        assert first.tasks is not second.tasks
+        assert first.vcpus is not second.vcpus
+
+        layout = {
+            cpu: list(core.allocations) for cpu, core in second.table.cores.items()
+        }
+        first.stats.plan_cache_hit = True
+        first.stats.compensated_vcpus.append("vm00.vcpu0")
+        first.table.cores[0] = CoreTable(cpu=0, length_ns=first.table.length_ns)
+        first.tasks.clear()
+        first.vcpus.clear()
+        assert not second.stats.plan_cache_hit
+        assert second.stats.compensated_vcpus == []
+        assert {
+            cpu: list(core.allocations) for cpu, core in second.table.cores.items()
+        } == layout
+        assert len(second.tasks) == len(second.vcpus) == 8
 
     def test_distinct_censuses_do_not_collide(self):
         a = scenarios.plan_for(uniform(4), 8, False)
         b = scenarios.plan_for(uniform(4), 8, True)
         c = scenarios.plan_for(uniform(4), 8, False, latency_ns=1_000_000)
-        assert a is not b and a is not c
+        assert all(v.capped for v in b.vcpus.values())
+        assert not any(v.capped for v in a.vcpus.values())
+        assert all(v.latency_ns == 1_000_000 for v in c.vcpus.values())
 
-    def test_store_serves_across_memo_resets(self, tmp_path):
+    def test_store_serves_a_fresh_process(self, tmp_path):
         store = PlanStore(tmp_path / "cache")
         scenarios.plan_for(uniform(4), 8, False, store=store)
         assert store.stats.misses == 1
 
-        scenarios.reset_plan_memo()  # new process, same disk
-        result = scenarios.plan_for(uniform(4), 8, False, store=store)
-        assert store.stats.hits == 1
+        reopened = PlanStore(tmp_path / "cache")  # new process, same disk
+        result = scenarios.plan_for(uniform(4), 8, False, store=reopened)
+        assert reopened.stats.hits == 1
         assert result.stats.plan_cache_hit
 
 

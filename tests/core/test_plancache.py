@@ -12,8 +12,18 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.core import MS, CACHE_VERSION, Planner, PlanStore, make_vm, plan_key
+from repro.core import (
+    MS,
+    CACHE_VERSION,
+    Planner,
+    PlanStore,
+    make_vm,
+    plan_key,
+    shape_plan_key,
+)
+from repro.core.params import flatten_vcpus
 from repro.core.plancache import MAGIC, topology_token
+from repro.core.table import SystemTable
 from repro.topology import uniform, xeon_16core
 
 
@@ -67,6 +77,12 @@ class TestRoundTrip:
         second = store.plan(Planner(uniform(4)), census())
         assert second.stats.plan_cache_hit
         assert store.stats.hits == 1
+        # Entries carry segment columns only; allocations are rebuilt
+        # on first use.
+        assert all(
+            "allocations" not in core.__dict__
+            for core in second.table.cores.values()
+        )
         assert table_layout(second) == table_layout(first)
 
     def test_hit_rate(self, store):
@@ -79,6 +95,112 @@ class TestRoundTrip:
     def test_get_missing_key_is_none(self, store):
         assert store.get("0" * 64) is None
         assert store.stats.misses == 1
+
+
+def tier(prefix, count=8, utilization=0.25, latency_ms=20):
+    """A single-tier census whose vCPU names all start with ``prefix``."""
+    return flatten_vcpus(
+        [make_vm(f"{prefix}{i}", utilization, latency_ms * MS) for i in range(count)]
+    )
+
+
+class TestShapedPlans:
+    """``plan_shaped``: Sec. 7.1's reuse of a stored plan across renames."""
+
+    def test_shape_key_ignores_order_and_names(self):
+        planner = Planner(uniform(2))
+        key = shape_plan_key(planner, tier("a"))
+        assert shape_plan_key(planner, list(reversed(tier("a")))) == key
+        assert shape_plan_key(planner, tier("web")) == shape_plan_key(
+            planner, tier("db")
+        )
+
+    def test_shape_key_covers_reservations(self):
+        planner = Planner(uniform(2))
+        key = shape_plan_key(planner, tier("a"))
+        assert shape_plan_key(planner, tier("a", utilization=0.5)) != key
+        assert shape_plan_key(planner, tier("a", latency_ms=30)) != key
+
+    def test_same_shape_hits_under_new_names(self, store):
+        first = store.plan_shaped(Planner(uniform(2)), tier("web"))
+        assert not first.stats.plan_cache_hit
+        second = store.plan_shaped(Planner(uniform(2)), tier("db"))
+        assert second.stats.plan_cache_hit
+        assert store.stats.hits == 1 and store.stats.misses == 1
+
+    def test_rename_covers_every_allocation(self, store):
+        store.plan_shaped(Planner(uniform(2)), tier("web"))
+        result = store.plan_shaped(Planner(uniform(2)), tier("db"))
+        names = {
+            a.vcpu
+            for t in result.table.cores.values()
+            for a in t.allocations
+            if a.vcpu is not None
+        }
+        assert names == {f"db{i}.vcpu0" for i in range(8)}
+        assert set(result.vcpus) == names
+
+    def test_renamed_plan_keeps_guarantees(self, store):
+        store.plan_shaped(Planner(uniform(2)), tier("web"))
+        result = store.plan_shaped(Planner(uniform(2)), tier("db"))
+        for name in result.vcpus:
+            assert result.table.utilization_of(name) == pytest.approx(
+                0.25, abs=1e-3
+            )
+            assert result.table.max_blackout_ns(name) <= 20 * MS
+
+    def test_renamed_tasks_reference_new_specs(self, store):
+        store.plan_shaped(Planner(uniform(2)), tier("web"))
+        result = store.plan_shaped(Planner(uniform(2)), tier("db"))
+        task = result.task_of("db0.vcpu0")
+        assert task.vcpu is result.vcpus["db0.vcpu0"]
+        assert all(
+            piece is result.tasks[piece.name]
+            for pieces in result.assignment.values()
+            for piece in pieces
+        )
+
+    def test_split_plan_renames_and_keeps_guarantees(self, store):
+        # Three 0.6 vCPUs on two cores: one is split across both.
+        store.plan_shaped(Planner(uniform(2)), tier("a", count=3, utilization=0.6))
+        result = store.plan_shaped(
+            Planner(uniform(2)), tier("b", count=3, utilization=0.6)
+        )
+        assert result.stats.plan_cache_hit
+        assert any(result.table.is_split(name) for name in result.vcpus)
+        result.table.validate()
+        for name in result.vcpus:
+            assert result.table.utilization_of(name) == pytest.approx(
+                0.6, abs=1e-3
+            )
+
+    def test_renamed_name_index_matches_a_rebuilt_one(self, store):
+        store.plan_shaped(Planner(uniform(2)), tier("a", count=3, utilization=0.6))
+        result = store.plan_shaped(
+            Planner(uniform(2)), tier("b", count=3, utilization=0.6)
+        )
+        rebuilt = SystemTable(
+            length_ns=result.table.length_ns, cores=result.table.cores
+        )
+        assert result.table.vcpu_names == rebuilt.vcpu_names
+        assert result.table.home_cores == rebuilt.home_cores
+
+    def test_dedicated_vcpus_rename(self, store):
+        full = tier("a", count=1, utilization=1.0) + tier("b", count=4)
+        store.plan_shaped(Planner(uniform(4)), full)
+        renamed = tier("c", count=1, utilization=1.0) + tier("d", count=4)
+        result = store.plan_shaped(Planner(uniform(4)), renamed)
+        assert result.stats.plan_cache_hit
+        assert result.table.utilization_of("c0.vcpu0") == pytest.approx(1.0)
+        assert set(result.vcpus) == {v.name for v in renamed}
+
+    def test_hits_do_not_share_stats(self, store):
+        store.plan_shaped(Planner(uniform(2)), tier("web"))
+        a = store.plan_shaped(Planner(uniform(2)), tier("db"))
+        b = store.plan_shaped(Planner(uniform(2)), tier("db"))
+        assert a.stats is not b.stats
+        a.stats.compensated_vcpus.append("x")
+        assert b.stats.compensated_vcpus == []
 
 
 class TestFaultPaths:

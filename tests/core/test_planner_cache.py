@@ -3,18 +3,21 @@
 The memo and the process pool are pure wall-clock optimizations: every
 plan they produce must be indistinguishable from a cold, serial plan.
 These tests pin that equivalence down, plus the cache-management
-behavior (hit accounting, LRU bound).
+behavior (hit accounting, size bound).  The memo is process-wide, so
+tests that count hits and misses plan censuses whose vCPU names no
+other test uses.
 """
 
 import pytest
 
+import repro.core.edfcore as edfcore
 import repro.core.planner as planner_mod
-from repro.core import MS, Planner, make_vm
+from repro.core import MS, Planner, cache, make_vm
 from repro.topology import xeon_16core
 
 
-def census(n, util=0.25, latency_ms=20):
-    return [make_vm(f"vm{i:02d}", util, latency_ms * MS) for i in range(n)]
+def census(n, util=0.25, latency_ms=20, prefix="vm"):
+    return [make_vm(f"{prefix}{i:02d}", util, latency_ms * MS) for i in range(n)]
 
 
 def table_layout(result):
@@ -27,9 +30,9 @@ def table_layout(result):
 class TestCoreTableMemo:
     def test_replan_same_census_is_all_hits(self):
         planner = Planner(xeon_16core())
-        first = planner.plan(census(40))
+        first = planner.plan(census(40, prefix="allhit"))
         misses = planner.core_cache_misses
-        second = planner.plan(census(40))
+        second = planner.plan(census(40, prefix="allhit"))
         assert planner.core_cache_misses == misses  # no new simulations
         assert planner.core_cache_hits > 0
         assert table_layout(first) == table_layout(second)
@@ -43,9 +46,9 @@ class TestCoreTableMemo:
 
     def test_incremental_census_only_resimulates_changed_cores(self):
         planner = Planner(xeon_16core())
-        planner.plan(census(40))
+        planner.plan(census(40, prefix="incr"))
         before = planner.core_cache_misses
-        planner.plan(census(41))
+        planner.plan(census(41, prefix="incr"))
         new_misses = planner.core_cache_misses - before
         # Adding one VM at the census tail only changes the cores that
         # received it; all others must hit.
@@ -59,12 +62,39 @@ class TestCoreTableMemo:
             assert result.table.max_blackout_ns(spec.name) <= spec.latency_ns
         result.table.validate()
 
-    def test_cache_respects_lru_bound(self, monkeypatch):
-        monkeypatch.setattr(planner_mod, "CORE_CACHE_SIZE", 4)
+    def test_memo_respects_size_bound(self, monkeypatch):
+        monkeypatch.setattr(cache, "CORE_MEMO_SIZE", 4)
+        monkeypatch.setattr(cache, "CORE_MEMO", {})
         planner = Planner(xeon_16core())
         for n in (33, 36, 39, 42):
-            planner.plan(census(n))
-        assert len(planner._core_cache) <= 4
+            planner.plan(census(n, prefix="bound"))
+        assert 0 < len(cache.CORE_MEMO) <= 4
+
+    def test_whole_plan_memo_hit_has_fresh_stats(self):
+        planner = Planner(xeon_16core())
+        first = planner.plan(census(40, prefix="regen"))
+        again = planner.plan(census(40, prefix="regen"))
+        assert again.table is first.table  # served by the whole-plan memo
+        assert again.stats is not first.stats
+        first.stats.plan_cache_hit = True
+        first.stats.compensated_vcpus.append("regen00.vcpu0")
+        assert not again.stats.plan_cache_hit
+        assert again.stats.compensated_vcpus == []
+
+    def test_memo_is_shared_across_planners(self):
+        Planner(xeon_16core()).plan(census(40, prefix="shared"))
+        fresh = Planner(xeon_16core())
+        fresh.plan(census(40, prefix="shared"))
+        assert fresh.core_cache_misses == 0
+        assert fresh.core_cache_hits == len(xeon_16core().guest_cores)
+
+    def test_clear_empties_both_in_memory_layers(self):
+        layout = table_layout(Planner(xeon_16core()).plan(census(40, prefix="cold")))
+        cache.clear()
+        assert not cache.CORE_MEMO and not edfcore._SHAPE_CACHE
+        replanned = Planner(xeon_16core())
+        assert table_layout(replanned.plan(census(40, prefix="cold"))) == layout
+        assert replanned.core_cache_hits == 0
 
     def test_distinct_knobs_do_not_share_entries(self):
         # The coalesce threshold participates in the memo key: changing

@@ -1,13 +1,12 @@
-"""Differential suite: delta replans must equal from-scratch plans.
+"""Differential suite: incremental replans must equal from-scratch plans.
 
-The columnar planner's delta path (``Planner.plan(CensusDelta)``) reuses
-core tables WFD did not repack.  The contract pinned here: for every
-census-diff sequence, the delta-accumulated plan and a cold planner's
-from-scratch plan of the same census are *equal* — same method, same
-allocations, identical plan fingerprint — across all four schedulers'
-census flavors, three seeds, and create/reconfigure/destroy sequences
-(including replanning on top of a recovered service, the PR-8 replay
-path).
+A live planner replanning an edited census reuses the core tables WFD
+did not repack (the per-core memo).  The contract pinned here: for every
+create/reconfigure/destroy sequence, the live planner's plan of the
+edited census and a cold planner's plan of the same census are *equal*
+— same method, same allocations, identical plan fingerprint — across
+all four schedulers' census flavors and three seeds (including
+replanning on top of a service recovered by journal replay).
 """
 
 import hashlib
@@ -19,11 +18,9 @@ from repro.core import (
     METHOD_PARTITIONED,
     METHOD_SEMI_PARTITIONED,
     MS,
-    CensusDelta,
     Planner,
     make_vm,
 )
-from repro.errors import PlanningError
 from repro.experiments.scenarios import SCHEDULERS
 from repro.topology import uniform
 
@@ -61,9 +58,8 @@ def base_census(scheduler, seed, count=10):
 def mutation_steps(census, scheduler, seed, steps=6):
     """A deterministic create/reconfigure/destroy sequence.
 
-    Yields ``(delta, census)`` pairs: the ``CensusDelta`` for the live
-    planner and the full census after applying it (for the from-scratch
-    control plan).  ``census`` is mutated in place across steps.
+    Yields the census after each step; ``census`` is edited in place
+    (creates append, a reconfigured VM keeps its position).
     """
     rng = random.Random(seed * 7919 + 13)
     capped = CAPPED[scheduler]
@@ -80,7 +76,6 @@ def mutation_steps(census, scheduler, seed, steps=6):
                 capped=capped,
             )
             serial += 1
-            delta = CensusDelta(create=[vm])
             census.append(vm)
         elif op == "reconfigure":
             index = rng.randrange(len(census))
@@ -88,13 +83,10 @@ def mutation_steps(census, scheduler, seed, steps=6):
             vm = make_vm(
                 old.name, rng.choice(UTILS), rng.choice(LATENCIES), capped=capped
             )
-            delta = CensusDelta(reconfigure=[vm])
             census[index] = vm
         else:
-            index = rng.randrange(len(census))
-            victim = census.pop(index)
-            delta = CensusDelta(destroy=[victim.name])
-        yield delta, census
+            census.pop(rng.randrange(len(census)))
+        yield census
 
 
 def assert_plans_equal(live, scratch):
@@ -107,50 +99,41 @@ def assert_plans_equal(live, scratch):
     assert plan_fingerprint(live) == plan_fingerprint(scratch)
 
 
-class TestDeltaEqualsScratch:
+class TestIncrementalEqualsScratch:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_census_diff_sequence(self, scheduler, seed):
+    def test_census_edit_sequence(self, scheduler, seed):
         topo = uniform(4)
         census = base_census(scheduler, seed)
         live_planner = Planner(topo)
         previous = live_planner.plan(list(census))
-        for delta, full in mutation_steps(census, scheduler, seed):
-            live = live_planner.plan(delta)
+        for full in mutation_steps(census, scheduler, seed):
+            live = live_planner.plan(list(full))
             scratch = Planner(topo).plan(list(full))
             assert_plans_equal(live, scratch)
-            # Untouched cores are structurally shared with the previous
-            # plan — the zero-copy contract the daemon's delta push
-            # builds on.
-            changed = set(live.stats.changed_cores or [])
+            # A core whose table the memo reissued unchanged is the
+            # previous plan's object — the zero-copy contract the
+            # daemon's delta push builds on.
             for cpu, core in live.table.cores.items():
-                if cpu in changed or cpu not in previous.table.cores:
-                    continue
-                assert core is previous.table.cores[cpu]
+                old = previous.table.cores.get(cpu)
+                if old is not None and core.allocations is old.allocations:
+                    assert core is old
             previous = live
 
-    def test_combined_delta_matches_hand_edit(self):
+    def test_combined_edit_matches_scratch(self):
         topo = uniform(4)
         census = base_census("tableau", 7)
         planner = Planner(topo)
         planner.plan(list(census))
         created = make_vm("combo-new", 0.2, 20 * MS)
         reconf = make_vm(census[3].name, 0.25, 10 * MS)
-        doomed = census[0].name
-        live = planner.plan(
-            CensusDelta(create=[created], reconfigure=[reconf], destroy=[doomed])
-        )
         edited = [reconf if vm.name == reconf.name else vm for vm in census[1:]]
         edited.append(created)
-        scratch = Planner(topo).plan(edited)
+        live = planner.plan(edited)
+        scratch = Planner(topo).plan(list(edited))
         assert_plans_equal(live, scratch)
 
-    def test_delta_without_base_census_is_refused(self):
-        planner = Planner(uniform(2))
-        with pytest.raises(PlanningError, match="without a base census"):
-            planner.plan(CensusDelta(create=[make_vm("vm0", 0.25, 20 * MS)]))
-
-    def test_semi_partitioned_delta_matches_scratch(self):
+    def test_semi_partitioned_replan_matches_scratch(self):
         # Splits couple cores; the delta path must still land on the
         # exact from-scratch plan when the method escalates.
         topo = uniform(2)
@@ -158,26 +141,26 @@ class TestDeltaEqualsScratch:
         planner = Planner(topo)
         planner.plan(list(census))
         census.append(make_vm("vm2", 0.6, 100 * MS))
-        live = planner.plan(CensusDelta(create=[census[-1]]))
+        live = planner.plan(list(census))
         scratch = Planner(topo).plan(list(census))
         assert live.stats.method == METHOD_SEMI_PARTITIONED
         assert_plans_equal(live, scratch)
 
-    def test_peephole_delta_matches_scratch(self):
+    def test_peephole_replan_matches_scratch(self):
         topo = uniform(4)
         census = base_census("tableau", 11)
         planner = Planner(topo, peephole=True)
         planner.plan(list(census))
         census.append(make_vm("peep-new", 0.25, 20 * MS))
-        live = planner.plan(CensusDelta(create=[census[-1]]))
+        live = planner.plan(list(census))
         scratch = Planner(topo, peephole=True).plan(list(census))
         assert_plans_equal(live, scratch)
 
 
-class TestRecoveredServiceDelta:
-    def test_delta_on_recovered_daemon_matches_scratch(self, tmp_path):
-        """PR-8 replay path: a recovered daemon's planner (warm from
-        journal replay) must delta-plan to the same table a cold
+class TestRecoveredServiceReplan:
+    def test_replan_on_recovered_daemon_matches_scratch(self, tmp_path):
+        """Journal-replay path: a recovered daemon's planner (warm from
+        replay) must replan an edited census to the same table a cold
         planner produces from scratch."""
         from repro.core.params import vms_from_tiers
         from repro.crashpoints import CRASH_SERVICE_FLUSH_POST_PUSH
@@ -199,11 +182,11 @@ class TestRecoveredServiceDelta:
             sorted(service.committed.items()), tiers=service.config.tiers
         )
         if not census:
-            pytest.skip("churn drained the census; nothing to delta-plan")
+            pytest.skip("churn drained the census; nothing to replan")
         recovered_planner = service.daemon.planner
         recovered_planner.plan(list(census))
         census.append(make_vm("post-recovery", 0.125, 100 * MS))
-        live = recovered_planner.plan(CensusDelta(create=[census[-1]]))
+        live = recovered_planner.plan(list(census))
         scratch = Planner(uniform_topo(8)).plan(list(census))
         assert_plans_equal(live, scratch)
         assert live.stats.method == METHOD_PARTITIONED

@@ -5,12 +5,12 @@ import struct
 import pytest
 
 from repro.core.serialize import (
-    ARRAY_MAGIC,
+    DELTA_MAGIC,
     MAGIC,
     deserialize,
-    deserialize_arrays,
+    deserialize_delta,
     serialize,
-    serialize_arrays,
+    serialize_delta,
     table_size_bytes,
 )
 from repro.core.table import Allocation, CoreTable, SystemTable
@@ -96,24 +96,23 @@ class TestFormatErrors:
             deserialize(b"")
 
 
-class TestArrayFormat:
-    """The dispatcher-side structure-of-arrays payload ('TBLA')."""
+class TestDeltaFormat:
+    """The delta payload ('TBLD'): changed cores as raw segment columns."""
 
-    def test_columns_round_trip(self):
+    def test_changed_columns_round_trip(self):
         system = sample_system()
-        length_ns, names, columns = deserialize_arrays(serialize_arrays(system))
-        assert length_ns == system.length_ns
+        length_ns, names, token, columns = deserialize_delta(
+            serialize_delta(system, [1], 7)
+        )
+        assert (length_ns, token) == (system.length_ns, 7)
         assert names == system.vcpu_names
-        expected = system.as_arrays()
-        assert set(columns) == set(expected)
-        for cpu, (ends, handles) in columns.items():
-            exp_starts, exp_ends, exp_handles = expected[cpu]
-            assert ends == exp_ends
-            assert handles == exp_handles
+        assert set(columns) == {1}
+        _starts, ends, handles = system.as_arrays()[1]
+        assert columns[1] == (ends, handles)
 
     def test_segments_cover_cycle_without_gaps(self):
-        length_ns, _names, columns = deserialize_arrays(
-            serialize_arrays(sample_system())
+        length_ns, _names, _token, columns = deserialize_delta(
+            serialize_delta(sample_system(), [0, 1], 0)
         )
         for ends, _handles in columns.values():
             # Starts are implicit: end[i-1] (0 for the first segment),
@@ -124,13 +123,13 @@ class TestArrayFormat:
     def test_playback_agrees_with_record_format_lookup(self):
         system = sample_system()
         system.build_slices()
-        length_ns, names, columns = deserialize_arrays(serialize_arrays(system))
+        length_ns, names, _token, columns = deserialize_delta(
+            serialize_delta(system, [0, 1], 0)
+        )
         for cpu, (ends, handles) in columns.items():
             cursor = 0
-            start = 0
             for t in range(0, length_ns, 113):
                 while ends[cursor] <= t:
-                    start = ends[cursor]
                     cursor += 1
                 handle = handles[cursor]
                 expected = system.cores[cpu].lookup(t)
@@ -141,28 +140,28 @@ class TestArrayFormat:
                     assert names[handle] == expected.vcpu
 
     def test_magic_is_first_bytes(self):
-        assert serialize_arrays(sample_system())[:4] == ARRAY_MAGIC
+        assert serialize_delta(sample_system(), [], 0)[:4] == DELTA_MAGIC
 
     def test_bad_magic_rejected(self):
-        payload = bytearray(serialize_arrays(sample_system()))
+        payload = bytearray(serialize_delta(sample_system(), [0], 0))
         payload[:4] = b"XXXX"
         with pytest.raises(TableFormatError):
-            deserialize_arrays(bytes(payload))
+            deserialize_delta(bytes(payload))
 
     def test_bad_version_rejected(self):
-        payload = bytearray(serialize_arrays(sample_system()))
+        payload = bytearray(serialize_delta(sample_system(), [0], 0))
         struct.pack_into("<H", payload, 4, 99)
         with pytest.raises(TableFormatError):
-            deserialize_arrays(bytes(payload))
+            deserialize_delta(bytes(payload))
 
     def test_truncated_payload_rejected(self):
-        payload = serialize_arrays(sample_system())
+        payload = serialize_delta(sample_system(), [0, 1], 0)
         with pytest.raises(TableFormatError):
-            deserialize_arrays(payload[: len(payload) - 8])
+            deserialize_delta(payload[: len(payload) - 8])
 
     def test_empty_payload_rejected(self):
         with pytest.raises(TableFormatError):
-            deserialize_arrays(b"")
+            deserialize_delta(b"")
 
 
 class TestTableSize:

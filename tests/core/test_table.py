@@ -304,3 +304,62 @@ class TestServiceIndex:
         )
         timeline = system.service_index()["x"]
         assert system.max_blackout_ns("x", timeline=timeline) == 9_000
+
+
+class TestColumnOnlyTables:
+    """Tables with exact segment columns pickle and rename without
+    their allocation list and rebuild it on first use."""
+
+    def _columned(self):
+        table = core_table(
+            [(1_000, 3_000, "a"), (3_000, 4_000, "b"), (6_000, 9_000, "a")]
+        )
+        table.as_arrays(lambda name: 0)  # derives the segment columns
+        return table
+
+    def test_pickle_leaves_allocations_out_and_rebuilds_them(self):
+        import pickle
+
+        table = self._columned()
+        clone = pickle.loads(pickle.dumps(table))
+        assert "allocations" not in clone.__dict__
+        assert clone == table
+        assert clone.lookup(3_500).vcpu == "b"
+
+    def test_explicit_idle_records_survive_pickling(self):
+        import pickle
+
+        table = core_table([(0, 1_000, None), (1_000, 2_000, "a")])
+        table.as_arrays(lambda name: 0)
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone.allocations == table.allocations
+        assert clone.allocations[0].vcpu is None
+
+    def test_renamed_shares_columns_and_renames_lazily(self):
+        table = self._columned()
+        renamed = table.renamed({"a": "x", "b": "y"})
+        assert "allocations" not in renamed.__dict__
+        assert renamed._seg_starts is table._seg_starts
+        assert [(a.start, a.end, a.vcpu) for a in renamed.allocations] == [
+            (1_000, 3_000, "x"),
+            (3_000, 4_000, "y"),
+            (6_000, 9_000, "x"),
+        ]
+        assert table.allocations[0].vcpu == "a"
+
+    def test_renamed_derives_missing_columns(self):
+        table = core_table([(500, 1_000, "a"), (1_000, 2_000, "b")])
+        renamed = table.renamed({"a": "x", "b": "y"})
+        assert [(a.start, a.end, a.vcpu) for a in renamed.allocations] == [
+            (500, 1_000, "x"),
+            (1_000, 2_000, "y"),
+        ]
+
+    def test_renaming_explicit_idle_records_is_refused(self):
+        table = core_table([(0, 1_000, None), (1_000, 2_000, "a")])
+        with pytest.raises(ConfigurationError):
+            table.renamed({"a": "x"})
+
+    def test_other_missing_attributes_still_raise(self):
+        with pytest.raises(AttributeError):
+            self._columned().no_such_attribute

@@ -1,8 +1,8 @@
-"""Tests for the daemon's caching and split-rotation extensions."""
+"""Tests for the daemon's plan-store and split-rotation extensions."""
 
 import pytest
 
-from repro.core import MS, make_vm
+from repro.core import MS, PlanStore, make_vm
 from repro.topology import uniform
 from repro.xen import PlannerDaemon
 
@@ -11,15 +11,16 @@ def specs(prefix, count=8, utilization=0.25):
     return [make_vm(f"{prefix}{i}", utilization, 20 * MS) for i in range(count)]
 
 
-class TestDaemonCache:
-    def test_same_shape_census_hits_cache(self):
-        daemon = PlannerDaemon(uniform(2), cache=True)
+class TestDaemonStore:
+    def test_same_shape_census_hits_store(self, tmp_path):
+        daemon = PlannerDaemon(uniform(2), store=PlanStore(tmp_path / "plans"))
         daemon.replan(specs("web"), reason="boot")
-        daemon.replan(specs("db"), reason="rename-church")
-        assert daemon.cache.stats.hits == 1
+        daemon.replan(specs("db"), reason="rename-churn")
+        assert daemon.store.stats.hits == 1
+        assert daemon.current_plan.stats.plan_cache_hit
 
-    def test_cached_plan_covers_new_names(self):
-        daemon = PlannerDaemon(uniform(2), cache=True)
+    def test_stored_plan_covers_new_names(self, tmp_path):
+        daemon = PlannerDaemon(uniform(2), store=PlanStore(tmp_path / "plans"))
         daemon.replan(specs("web"), reason="boot")
         result = daemon.replan(specs("db"), reason="swap")
         assert set(result.vcpus) == {f"db{i}.vcpu0" for i in range(8)}
@@ -28,9 +29,11 @@ class TestDaemonCache:
                 0.25, abs=1e-3
             )
 
-    def test_cache_disabled_by_default(self):
+    def test_without_store_plans_directly(self):
         daemon = PlannerDaemon(uniform(2))
-        assert daemon.cache is None
+        assert daemon.store is None
+        daemon.replan(specs("web"), reason="boot")
+        assert not daemon.current_plan.stats.plan_cache_hit
 
 
 class TestSplitRotation:

@@ -35,8 +35,6 @@ def canned_daemon(**kwargs):
     daemon = PlannerDaemon(uniform(2), **kwargs)
     result = daemon.planner.plan(census())
     daemon.planner.plan = lambda specs: result  # type: ignore[method-assign]
-    if daemon.cache is not None:
-        daemon.cache.planner.plan = lambda specs: result  # type: ignore
     return daemon
 
 

@@ -7,7 +7,7 @@ mismatch → full-push fallback.
 
 import pytest
 
-from repro.core import MS, CensusDelta, Planner, make_vm, serialize
+from repro.core import MS, Planner, make_vm, serialize
 from repro.core.serialize import serialize_delta
 from repro.core.table import SystemTable
 from repro.errors import TableDeltaMismatchError, TableFormatError
@@ -74,15 +74,24 @@ class TestHypercallDeltaProtocol:
             hypercall.push_table_delta(payload)
 
     def test_successful_delta_shares_unchanged_cores(self):
+        # Names no other test plans: the grown census's cores are
+        # materialized by this daemon's replan, not reissued from the
+        # process-wide core memo.
         daemon, hypercall, sched = build_daemon(xeon_16core())
-        vms = census(44)
+        vms = census(44, prefix="dshare")
         daemon.replan(vms, "boot")
         base_staged = hypercall.staged_table
-        daemon.replan(vms + [make_vm("vm44", 0.25, 20 * MS)], "create")
+        base_table = daemon.current_plan.table
+        daemon.replan(vms + [make_vm("dshare44", 0.25, 20 * MS)], "create")
         record = daemon.history[-1].push
         assert record.delta
         staged = hypercall.staged_table
-        changed = set(daemon.current_plan.stats.changed_cores or ())
+        table = daemon.current_plan.table
+        changed = {
+            cpu
+            for cpu, core in table.cores.items()
+            if core.allocations != base_table.cores[cpu].allocations
+        }
         assert changed  # the create really did repack something
         for cpu, core in staged.cores.items():
             if cpu not in changed:
@@ -183,16 +192,13 @@ class TestDaemonDeltaGating:
 
 
 class TestDeltaPlannerIntegration:
-    def test_census_delta_replan_pushes_only_changed_columns(self):
-        # End-to-end: CensusDelta at the planner, 'TBLD' on the wire.
+    def test_incremental_replan_pushes_only_changed_columns(self):
+        # End-to-end: an edited census at the planner, 'TBLD' on the wire.
         daemon, hypercall, _ = build_daemon(xeon_16core())
         vms = census(44)
         daemon.replan(vms, "boot")
-        planner = daemon.planner
-        delta_result = planner.plan(
-            CensusDelta(create=[make_vm("vm44", 0.25, 20 * MS)])
-        )
-        changed = delta_result.stats.changed_cores
+        delta_result = daemon.planner.plan(vms + [make_vm("vm44", 0.25, 20 * MS)])
+        changed = daemon._changed_cores(delta_result.table)
         assert changed is not None and len(changed) >= 1
         payload = serialize_delta(
             delta_result.table, changed, hypercall.delta_generation
